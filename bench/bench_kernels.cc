@@ -302,6 +302,30 @@ void BM_ProtoAttnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ProtoAttnForward)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
+// The nearest-prototype assignment step of ProtoAttn alone (Eq. 6 argmin
+// over k=16 prototypes) on (B', l, p) raw-token shapes: the temporal
+// (16, 8, 24) and entity (8, 16, 24) branches of a 16-entity window, and
+// the same two branches at lookback 512 (21 segments of p=24). Runs the
+// serving precision (FOCUS_PRECISION) under inference mode.
+void BM_ProtoAssign(benchmark::State& state) {
+  const int64_t b = state.range(0), l = state.range(1), p = state.range(2);
+  const int64_t k = 16, d = 64;
+  Rng rng(12);
+  auto embed = std::make_shared<nn::Linear>(p, d, rng);
+  core::ProtoAttn attn(Tensor::Randn({k, p}, rng), embed, d, 0.2f, rng);
+  Tensor raw = Tensor::Randn({b, l, p}, rng);
+  InferenceModeGuard inference;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(attn.AssignTokens(raw).data());
+  }
+  state.SetItemsProcessed(state.iterations() * b * l);
+}
+BENCHMARK(BM_ProtoAssign)
+    ->Args({16, 8, 24})
+    ->Args({8, 16, 24})
+    ->Args({16, 21, 24})
+    ->Args({21, 16, 24});
+
 // Full self-attention forward cost: expect ~quadratic time in l.
 void BM_SelfAttnForward(benchmark::State& state) {
   const int64_t l = state.range(0);

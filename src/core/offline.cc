@@ -23,6 +23,47 @@ cluster::ClusteringResult RunOfflineClustering(const Tensor& train_values,
   return cluster::SegmentClustering(cc).Fit(segments);
 }
 
+namespace {
+
+// Shared Pearson-denominator rule: a row whose centred sum of squares is
+// below cluster::PearsonCorrelation's 1e-12 cut-off contributes no
+// correlation.
+float InvRoot(double var) {
+  return var >= 1e-12 ? static_cast<float>(1.0 / std::sqrt(var)) : 0.0f;
+}
+
+}  // namespace
+
+PrototypeBankStats ComputePrototypeBankStats(const Tensor& prototypes) {
+  FOCUS_CHECK_EQ(prototypes.dim(), 2) << "prototype bank must be (k, p)";
+  PrototypeBankStats bank;
+  bank.k = prototypes.size(0);
+  bank.p = prototypes.size(1);
+  bank.panel.resize(static_cast<size_t>(bank.k * bank.p));
+  bank.sq_norm.resize(static_cast<size_t>(bank.k));
+  bank.mean.resize(static_cast<size_t>(bank.k));
+  bank.inv_root.resize(static_cast<size_t>(bank.k));
+  for (int64_t j = 0; j < bank.k; ++j) {
+    const float* row = prototypes.data() + j * bank.p;
+    double sum = 0.0, sq = 0.0;
+    for (int64_t d = 0; d < bank.p; ++d) {
+      bank.panel[static_cast<size_t>(d * bank.k + j)] = row[d];
+      sum += row[d];
+      sq += static_cast<double>(row[d]) * row[d];
+    }
+    const double mean = sum / static_cast<double>(bank.p);
+    double var = 0.0;
+    for (int64_t d = 0; d < bank.p; ++d) {
+      var += (row[d] - mean) * (row[d] - mean);
+    }
+    const size_t sj = static_cast<size_t>(j);
+    bank.sq_norm[sj] = static_cast<float>(sq);
+    bank.mean[sj] = static_cast<float>(mean);
+    bank.inv_root[sj] = InvRoot(var);
+  }
+  return bank;
+}
+
 QuantizedPrototypeBank QuantizePrototypeBank(const Tensor& prototypes) {
   FOCUS_CHECK_EQ(prototypes.dim(), 2) << "prototype bank must be (k, p)";
   QuantizedPrototypeBank bank;
@@ -34,7 +75,7 @@ QuantizedPrototypeBank QuantizePrototypeBank(const Tensor& prototypes) {
   bank.row_sum_q.resize(static_cast<size_t>(bank.k));
   bank.sq_norm.resize(static_cast<size_t>(bank.k));
   bank.mean.resize(static_cast<size_t>(bank.k));
-  bank.var.resize(static_cast<size_t>(bank.k));
+  bank.inv_root.resize(static_cast<size_t>(bank.k));
   for (int64_t j = 0; j < bank.k; ++j) {
     const float* row = prototypes.data() + j * bank.p;
     float lo = row[0], hi = row[0];
@@ -71,8 +112,8 @@ QuantizedPrototypeBank QuantizePrototypeBank(const Tensor& prototypes) {
     bank.row_sum_q[static_cast<size_t>(j)] = sum_q;
     bank.sq_norm[static_cast<size_t>(j)] = static_cast<float>(sq);
     bank.mean[static_cast<size_t>(j)] = static_cast<float>(mean);
-    bank.var[static_cast<size_t>(j)] = static_cast<float>(
-        sq - static_cast<double>(bank.p) * mean * mean);
+    bank.inv_root[static_cast<size_t>(j)] =
+        InvRoot(sq - static_cast<double>(bank.p) * mean * mean);
   }
   return bank;
 }

@@ -45,6 +45,11 @@ plan::ExecutionPlan* PlannedForecaster::CaptureShape(const Shape& shape,
     return nullptr;
   }
   plans_.emplace_back(shape, std::move(plan));
+  // This forecaster's plans never run concurrently, so they all replay
+  // in one slab sized for the largest.
+  std::vector<plan::ExecutionPlan*> all;
+  for (auto& entry : plans_) all.push_back(entry.second.get());
+  plan::ShareSlab(all);
   return plans_.back().second.get();
 }
 

@@ -3,7 +3,9 @@
 // Wraps any ForecastModel with a per-shape cache of compiled execution
 // plans (src/plan): the first Forward() for an input shape captures and
 // compiles a plan; subsequent calls replay it (zero tensor-allocator
-// calls, fused kernels, no tape). Shapes whose capture failed — the
+// calls, fused kernels, no tape). The cached plans never run
+// concurrently, so they all replay in ONE slab sized for the largest
+// (plan::ShareSlab). Shapes whose capture failed — the
 // model used an op without a capture hook — are remembered and served
 // eagerly (under InferenceModeGuard) without re-trying every call. A
 // SIMD backend switch invalidates cached plans via the plan guard; the

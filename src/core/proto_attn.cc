@@ -6,7 +6,6 @@
 #include <limits>
 #include <vector>
 
-#include "cluster/segment_clustering.h"
 #include "obs/trace.h"
 #include "tensor/flops.h"
 #include "tensor/ops.h"
@@ -19,91 +18,136 @@ namespace core {
 
 namespace {
 
-// Shared assignment sweep: z-normalize each raw segment (f32, identical
-// in every precision mode) and take the argmin composite distance over
-// the prototype bank. With `bank` set, the distance is evaluated from
-// int8 quantized operands: the token quantizes symmetrically
-// (tscale = max|t|/127, zero point 0), each (token, prototype) pair
-// costs ONE int32 dot_i8, and every Eq. 6 term — squared Euclidean and
-// Pearson — requantizes from that dot plus the bank's precomputed row
-// statistics in f32. Serial over rows; both AssignTokens and the plan
-// replay closure call exactly this function, so eager and planned
-// int8proto forwards are bit-identical.
-void AssignRows(const float* raw, int64_t rows, const float* protos,
-                int64_t k, int64_t p, float alpha,
-                const QuantizedPrototypeBank* bank, int64_t* out_idx) {
-  std::vector<float> shape(static_cast<size_t>(p));
-  std::vector<int8_t> tq(static_cast<size_t>(p));
-  const auto dot_i8 = simd::Kernels().dot_i8;
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* seg = raw + r * p;
-    // Match the offline clustering's shape space: z-normalize the token.
-    double mean = 0;
-    for (int64_t d = 0; d < p; ++d) mean += seg[d];
-    mean /= p;
-    double var = 0;
-    for (int64_t d = 0; d < p; ++d) var += (seg[d] - mean) * (seg[d] - mean);
-    const float inv_std =
-        1.0f / (static_cast<float>(std::sqrt(var / p)) + 1e-4f);
-    for (int64_t d = 0; d < p; ++d) {
-      shape[static_cast<size_t>(d)] =
-          (seg[d] - static_cast<float>(mean)) * inv_std;
+// Rows are scored a block at a time: the block's z-normalized shapes and
+// its (rows x k) cross terms live in caller scratch, so one block stays
+// in L1 and a plan replay allocates nothing.
+constexpr int64_t kAssignBlock = 32;
+
+// Scratch floats AssignRows needs: block shapes, block cross terms, and
+// the int8proto branch's quantized token (p bytes).
+int64_t AssignScratchFloats(int64_t rows, int64_t k, int64_t p) {
+  const int64_t block = std::min(rows, kAssignBlock);
+  return block * (p + k) + (p + 3) / 4;
+}
+
+// Token-side terms of the dense Eq. 6 distance.
+struct TokenTerms {
+  float sq_norm, mean, inv_root;
+};
+
+TokenTerms MakeTokenTerms(float sq_norm, float sum, int64_t p) {
+  const float mean = sum / static_cast<float>(p);
+  const float var = sq_norm - static_cast<float>(p) * mean * mean;
+  return {sq_norm, mean, var >= 1e-12f ? 1.0f / std::sqrt(var) : 0.0f};
+}
+
+// Eq. 6 argmin from one token's k cross terms t.c_j, shared by the f32
+// and int8proto branches:
+//   ||t||^2 + ||c||^2 - 2 t.c + alpha (1 - (t.c - p m_t m_c) / sqrt(da dc))
+// with the prototype terms frozen at construction and the inverse roots
+// replacing the per-pair sqrt. The strict < keeps the first minimum, so
+// an exact tie goes to the lower prototype index.
+int64_t ArgminEq6(const float* cross, const TokenTerms& t,
+                  const float* sq_norm, const float* mean,
+                  const float* inv_root, int64_t k, int64_t p,
+                  float alpha) {
+  const float pm = static_cast<float>(p) * t.mean;
+  float best = std::numeric_limits<float>::max();
+  int64_t best_j = 0;
+  for (int64_t j = 0; j < k; ++j) {
+    float dist = t.sq_norm + sq_norm[j] - 2.0f * cross[j];
+    if (alpha != 0.0f) {
+      const float corr = (cross[j] - pm * mean[j]) * (t.inv_root * inv_root[j]);
+      dist += alpha * (1.0f - corr);
     }
-    float best = std::numeric_limits<float>::max();
-    int64_t best_j = 0;
-    if (bank == nullptr) {
-      for (int64_t j = 0; j < k; ++j) {
-        const float dist = cluster::CompositeDistance(
-            shape.data(), protos + j * p, p, alpha);
-        if (dist < best) {
-          best = dist;
-          best_j = j;
-        }
+    if (dist < best) {
+      best = dist;
+      best_j = j;
+    }
+  }
+  return best_j;
+}
+
+// Shared assignment sweep: z-normalize each raw segment (f32, identical
+// in every precision mode) and emit(row, argmin) over the prototype
+// bank. The f32 branch takes a block's cross terms from one call of the
+// 4x8 matmul kernel against the frozen (p, k) panel. With `qbank` set,
+// the token quantizes symmetrically (tscale = max|t|/127, zero point 0),
+// each (token, prototype) pair costs ONE int32 dot_i8, and the cross
+// term requantizes from it in f32. Serial over rows; eager training,
+// AssignTokens and the plan replay closure all call exactly this
+// function, so eager and planned forwards are bit-identical, and every
+// kernel it uses is backend-invariant.
+template <typename Emit>
+void AssignRows(const float* raw, int64_t rows,
+                const PrototypeBankStats& bank, float alpha,
+                const QuantizedPrototypeBank* qbank, float* scratch,
+                Emit&& emit) {
+  const int64_t k = bank.k, p = bank.p;
+  const simd::KernelTable& kt = simd::Kernels();
+  const int64_t block = std::min(rows, kAssignBlock);
+  float* shapes = scratch;
+  float* cross = shapes + block * p;
+  int8_t* tq = reinterpret_cast<int8_t*>(cross + block * k);
+  for (int64_t r0 = 0; r0 < rows; r0 += block) {
+    const int64_t n = std::min(block, rows - r0);
+    for (int64_t i = 0; i < n; ++i) {
+      const float* seg = raw + (r0 + i) * p;
+      float* shape = shapes + i * p;
+      // Match the offline clustering's shape space: z-normalize.
+      double mean = 0;
+      for (int64_t d = 0; d < p; ++d) mean += seg[d];
+      mean /= p;
+      double var = 0;
+      for (int64_t d = 0; d < p; ++d) var += (seg[d] - mean) * (seg[d] - mean);
+      const float inv_std =
+          1.0f / (static_cast<float>(std::sqrt(var / p)) + 1e-4f);
+      for (int64_t d = 0; d < p; ++d) {
+        shape[d] = (seg[d] - static_cast<float>(mean)) * inv_std;
       }
-    } else {
+    }
+    if (qbank == nullptr) {
+      kt.matmul_row_block(shapes, bank.panel.data(), cross, 0, n, p, k);
+      for (int64_t i = 0; i < n; ++i) {
+        const float* shape = shapes + i * p;
+        const TokenTerms t = MakeTokenTerms(kt.dot(shape, shape, p),
+                                            kt.row_sum(shape, p), p);
+        emit(r0 + i, ArgminEq6(cross + i * k, t, bank.sq_norm.data(),
+                               bank.mean.data(), bank.inv_root.data(), k,
+                               p, alpha));
+      }
+      continue;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      const float* shape = shapes + i * p;
       float amax = 0.0f;
       for (int64_t d = 0; d < p; ++d) {
-        amax = std::max(amax, std::fabs(shape[static_cast<size_t>(d)]));
+        amax = std::max(amax, std::fabs(shape[d]));
       }
       const float tscale = amax > 0.0f ? amax / 127.0f : 1.0f;
       int32_t tsum = 0;
       for (int64_t d = 0; d < p; ++d) {
         const int32_t qi = std::clamp(
-            static_cast<int32_t>(
-                std::lrintf(shape[static_cast<size_t>(d)] / tscale)),
-            -128, 127);
-        tq[static_cast<size_t>(d)] = static_cast<int8_t>(qi);
+            static_cast<int32_t>(std::lrintf(shape[d] / tscale)), -128, 127);
+        tq[d] = static_cast<int8_t>(qi);
         tsum += qi;
       }
-      const int32_t tsq = dot_i8(tq.data(), tq.data(), p);
-      const float sq_t = tscale * tscale * static_cast<float>(tsq);
-      const float m_t =
-          tscale * static_cast<float>(tsum) / static_cast<float>(p);
-      const float da = sq_t - static_cast<float>(p) * m_t * m_t;
+      const int32_t tsq = kt.dot_i8(tq, tq, p);
+      const TokenTerms t =
+          MakeTokenTerms(tscale * tscale * static_cast<float>(tsq),
+                         tscale * static_cast<float>(tsum), p);
+      float* row_cross = cross + i * k;
       for (int64_t j = 0; j < k; ++j) {
         const size_t sj = static_cast<size_t>(j);
-        const int32_t dot = dot_i8(tq.data(), bank->q.data() + j * p, p);
+        const int32_t dot = kt.dot_i8(tq, qbank->q.data() + j * p, p);
         // f32 requantize of the int32 accumulator: sum of t_hat*c_hat.
-        const float cross =
-            tscale * bank->scale[sj] *
-            static_cast<float>(dot - bank->zero_point[sj] * tsum);
-        float dist = sq_t + bank->sq_norm[sj] - 2.0f * cross;
-        if (alpha != 0.0f) {
-          float corr = 0.0f;
-          if (da >= 1e-12f && bank->var[sj] >= 1e-12f) {
-            corr = (cross -
-                    static_cast<float>(p) * m_t * bank->mean[sj]) /
-                   std::sqrt(da * bank->var[sj]);
-          }
-          dist += alpha * (1.0f - corr);
-        }
-        if (dist < best) {
-          best = dist;
-          best_j = j;
-        }
+        row_cross[j] = tscale * qbank->scale[sj] *
+                       static_cast<float>(dot - qbank->zero_point[sj] * tsum);
       }
+      emit(r0 + i, ArgminEq6(row_cross, t, qbank->sq_norm.data(),
+                             qbank->mean.data(), qbank->inv_root.data(), k,
+                             p, alpha));
     }
-    out_idx[r] = best_j;
   }
 }
 
@@ -119,8 +163,10 @@ ProtoAttn::ProtoAttn(Tensor prototypes, std::shared_ptr<nn::Linear> embed,
   FOCUS_CHECK_EQ(embed_->in_features(), prototypes_.size(1))
       << "embedding input dim must equal segment length p";
   FOCUS_CHECK_EQ(embed_->out_features(), d_model);
-  // Freeze-time quantization: the bank is fixed for the module's
-  // lifetime, so its int8 image and row statistics are computed once.
+  // Freeze time: the bank is fixed for the module's lifetime, so its f32
+  // panel, int8 image and both sets of row statistics are computed once.
+  bank_ = std::make_shared<const PrototypeBankStats>(
+      ComputePrototypeBankStats(prototypes_));
   qbank_ = std::make_shared<const QuantizedPrototypeBank>(
       QuantizePrototypeBank(prototypes_));
   we_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
@@ -137,18 +183,23 @@ ProtoAttn::ProtoAttn(Tensor prototypes, std::shared_ptr<nn::Linear> embed,
 
 std::vector<int64_t> ProtoAttn::AssignTokens(const Tensor& tokens_raw) const {
   FOCUS_CHECK_EQ(tokens_raw.dim(), 3);
-  const int64_t p = prototypes_.size(1);
+  const int64_t p = bank_->p;
   FOCUS_CHECK_EQ(tokens_raw.size(2), p);
   const int64_t rows = tokens_raw.size(0) * tokens_raw.size(1);
-  const int64_t k = prototypes_.size(0);
+  const int64_t k = bank_->k;
   std::vector<int64_t> assignments(static_cast<size_t>(rows));
+  std::vector<float> scratch(
+      static_cast<size_t>(AssignScratchFloats(rows, k, p)));
   const bool use_int8 = !GradMode::IsEnabled() &&
                         PrecisionMode::Get() == Precision::kInt8Proto;
-  AssignRows(tokens_raw.data(), rows, prototypes_.data(), k, p, alpha_,
-             use_int8 ? qbank_.get() : nullptr, assignments.data());
+  AssignRows(tokens_raw.data(), rows, *bank_, alpha_,
+             use_int8 ? qbank_.get() : nullptr, scratch.data(),
+             [&](int64_t r, int64_t j) {
+               assignments[static_cast<size_t>(r)] = j;
+             });
   // Assignment cost (counted so the FLOPs metric reflects Algorithm 2's
-  // O(l * k * p) step; the int8 path does the same multiply-add count
-  // in narrower arithmetic).
+  // O(l * k * p) step; the dense and int8 paths do the same
+  // multiply-add count in different arithmetic).
   FlopCounter::Add(3 * rows * k * p);
   return assignments;
 }
@@ -175,34 +226,33 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
   if (plan_hooks::CaptureActive()) {
     // A is built by value-DEPENDENT raw writes, so without this step a
     // capture would pin one assignment pattern as a constant. The
-    // closure recomputes AssignTokens' serial z-norm + argmin sweep
-    // from the live token buffer — same accumulation order, same bits.
-    // Member diagnostics (last_assignment_/last_attention_) are NOT
-    // replayed by plans.
-    Tensor protos = prototypes_.Detach();
-    const float alpha = alpha_;
-    const int64_t p = prototypes_.size(1);
-    // Capture the precision-resolved sweep: a plan captured under
-    // int8proto replays the int8 bank (the shared_ptr keeps it alive),
-    // any other mode replays the f32 distance. Plan::Matches() pins the
-    // ambient PrecisionMode, so a plan never replays the wrong variant.
+    // closure reruns AssignTokens' sweep (AssignRows) on the live token
+    // buffer — same kernels, same accumulation order, same bits.
+    // The sweep's scratch is a slab slot and the argmin writes the
+    // one-hot row directly, so a replay makes no heap allocation.
+    // Plan::Matches() pins the ambient PrecisionMode, so capturing the
+    // precision-resolved bank (int8 under int8proto, else f32) means a
+    // plan never replays the wrong variant; the shared_ptrs keep the
+    // banks alive past the module. Member diagnostics
+    // (last_assignment_/last_attention_) are NOT replayed by plans.
+    std::shared_ptr<const PrototypeBankStats> bank = bank_;
     std::shared_ptr<const QuantizedPrototypeBank> qb =
         (PrecisionMode::Get() == Precision::kInt8Proto) ? qbank_
                                                         : nullptr;
-    plan_hooks::Record(
-        plan_hooks::StepKind::kOpaque, "ProtoAssign", {tokens_raw}, a,
-        [protos, alpha, b, l, k, p, qb](float* const* bufs) {
-          const float* raw = bufs[0];
-          float* pa = bufs[1];
-          std::fill_n(pa, b * l * k, 0.0f);
-          const int64_t rows = b * l;
-          std::vector<int64_t> idx(static_cast<size_t>(rows));
-          AssignRows(raw, rows, protos.data(), k, p, alpha, qb.get(),
-                     idx.data());
-          for (int64_t r = 0; r < rows; ++r) {
-            pa[r * k + idx[static_cast<size_t>(r)]] = 1.0f;
-          }
-        });
+    const float alpha = alpha_;
+    const int64_t rows = b * l;
+    plan_hooks::StepRecord rec;
+    rec.name = "ProtoAssign";
+    rec.inputs = {tokens_raw};
+    rec.output = a;
+    rec.scratch_numels = {AssignScratchFloats(rows, k, bank->p)};
+    rec.fn = [bank, qb, alpha, rows, k](float* const* bufs) {
+      float* pa = bufs[1];
+      std::fill_n(pa, rows * k, 0.0f);
+      AssignRows(bufs[0], rows, *bank, alpha, qb.get(), bufs[2],
+                 [pa, k](int64_t r, int64_t j) { pa[r * k + j] = 1.0f; });
+    };
+    plan_hooks::RecordStep(std::move(rec));
   }
 
   // Projections (Eq. 14).

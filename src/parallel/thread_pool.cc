@@ -116,7 +116,7 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::RunShards(int nshards, const std::function<void(int)>& fn) {
+void ThreadPool::RunShards(int nshards, FunctionRef<void(int)> fn) {
   if (nshards <= 0) return;
   if (nshards == 1 || workers_.empty() || tl_in_parallel_region) {
     RegionGuard in_region;
@@ -147,7 +147,7 @@ void ThreadPool::RunShards(int nshards, const std::function<void(int)>& fn) {
 }
 
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& body) {
+                 FunctionRef<void(int64_t, int64_t)> body) {
   const int64_t range = end - begin;
   if (range <= 0) return;
   if (grain < 1) grain = 1;

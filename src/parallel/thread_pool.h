@@ -37,12 +37,43 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace focus {
+
+// Non-owning reference to a callable that runs only during the call it is
+// passed to. Unlike std::function it never allocates, however much the
+// lambda captures, so a ParallelFor on a plan replay's hot path costs no
+// heap traffic. The referenced callable must outlive the call.
+template <typename Sig>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F, typename = std::enable_if_t<!std::is_same_v<
+                            std::decay_t<F>, FunctionRef>>>
+  FunctionRef(F&& f) noexcept  // NOLINT: implicit, like std::function
+      : obj_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(obj_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
 
 class ThreadPool {
  public:
@@ -57,7 +88,7 @@ class ThreadPool {
   // participates; returns after all shards completed. Falls back to a
   // serial in-order loop when the pool has no workers, nshards <= 1, or
   // the caller is already inside a parallel region.
-  void RunShards(int nshards, const std::function<void(int)>& fn);
+  void RunShards(int nshards, FunctionRef<void(int)> fn);
 
   // Joins the current workers and re-creates the pool with `num_threads`
   // total threads. Intended for tests and benchmarks that compare thread
@@ -96,7 +127,7 @@ class ThreadPool {
   uint64_t generation_ = 0;
   int active_workers_ = 0;
   bool shutdown_ = false;
-  const std::function<void(int)>* fn_ = nullptr;
+  const FunctionRef<void(int)>* fn_ = nullptr;
   int nshards_ = 0;
   std::atomic<int> next_shard_{0};
   std::exception_ptr error_;
@@ -114,7 +145,7 @@ bool InParallelRegion();
 // is invoked once with the full range on the calling thread — byte-for-byte
 // the serial code path.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& body);
+                 FunctionRef<void(int64_t, int64_t)> body);
 
 }  // namespace focus
 

@@ -439,15 +439,12 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
   }
 
   // --- Bindings: one resolved float* table per step; input slots are
-  // patched per Run(). Allocate the slab and output buffer LAST so the
-  // steady-state invariant (zero allocator calls in Run) is the only
-  // allocator traffic compile leaves behind.
+  // patched per Run() and slab slots by BindSlab(). Allocate the output
+  // buffer and slab LAST so the steady-state invariant (zero allocator
+  // calls in Run) is the only allocator traffic compile leaves behind.
   // packer.total() is 64-byte aligned, so the float conversion is exact.
-  plan->slab_ = SlabLease(packer.total() /
-                          static_cast<int64_t>(sizeof(float)));
   plan->output_ = Tensor::Empty(result.shape());
   plan->stats_.slab_bytes = packer.total();
-  float* slab = plan->slab_.data();
 
   auto resolve = [&](int id, std::string* desc) -> float* {
     const Value& v = values[static_cast<size_t>(id)];
@@ -471,7 +468,7 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
         // check that operand ranges within a step never overlap.
         *desc = "slab+" + std::to_string(v.offset) + "[" +
                 std::to_string(v.numel) + dtype + "]";
-        return slab + v.offset / static_cast<int64_t>(sizeof(float));
+        return nullptr;  // bound by BindSlab
     }
     return nullptr;
   };
@@ -489,8 +486,14 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
       float* p = resolve(ids[a], &desc);
       plan->stats_.bytes_per_run +=
           values[static_cast<size_t>(ids[a])].bytes();
-      if (values[static_cast<size_t>(ids[a])].kind == Value::kInput) {
+      const Value& v = values[static_cast<size_t>(ids[a])];
+      if (v.kind == Value::kInput) {
         plan->input_patches_.emplace_back(i, static_cast<int>(a));
+      } else if (ids[a] != out_id && (v.kind == Value::kTemp ||
+                                      v.kind == Value::kScratch)) {
+        plan->slab_slots_.push_back(
+            {i, static_cast<int>(a),
+             v.offset / static_cast<int64_t>(sizeof(float))});
       }
       // The written operand is prefixed "->" (and scratch "~") so tests
       // can reconstruct buffer lifetimes from the listing alone.
@@ -511,7 +514,32 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
       plan->pinned_.push_back(std::move(v.pinned));
     }
   }
+  plan->BindSlab(std::make_shared<SlabLease>(
+      packer.total() / static_cast<int64_t>(sizeof(float))));
   return plan;
+}
+
+void ExecutionPlan::BindSlab(std::shared_ptr<SlabLease> slab) {
+  FOCUS_CHECK_GE(slab->numel() * static_cast<int64_t>(sizeof(float)),
+                 stats_.slab_bytes);
+  for (const SlabSlot& slot : slab_slots_) {
+    steps_[static_cast<size_t>(slot.step)]
+        .bufs[static_cast<size_t>(slot.arg)] = slab->data() + slot.offset;
+  }
+  slab_ = std::move(slab);
+}
+
+void ShareSlab(const std::vector<ExecutionPlan*>& plans) {
+  // Every plan's slab fits its own program, so the widest one fits all.
+  std::shared_ptr<SlabLease> widest;
+  for (const ExecutionPlan* plan : plans) {
+    if (widest == nullptr || plan->slab_->numel() > widest->numel()) {
+      widest = plan->slab_;
+    }
+  }
+  for (ExecutionPlan* plan : plans) {
+    if (plan->slab_ != widest) plan->BindSlab(widest);
+  }
 }
 
 bool ExecutionPlan::Matches(const Tensor& input) const {

@@ -25,7 +25,10 @@
 //     lifetime; a first-fit interval allocator packs them into ONE
 //     64-byte-aligned slab leased from the caching allocator at compile
 //     time. Steady-state Run() therefore makes zero tensor-allocator
-//     calls (asserted in tests/plan_test.cc via AllocatorStats).
+//     calls (asserted in tests/plan_test.cc via AllocatorStats) and no
+//     heap allocation at all (asserted with a counting operator new).
+//     Plans that never run concurrently can be rebound onto one shared
+//     slab sized for the largest of them (ShareSlab below).
 //
 // Run() patches the caller's input pointer into the pre-resolved
 // per-step buffer tables and replays the closures. A shape or SIMD
@@ -112,6 +115,13 @@ class ExecutionPlan {
   const Shape& input_shape() const { return input_shape_; }
   const Shape& output_shape() const { return output_shape_; }
 
+  // The slab this plan replays in and its size in bytes: the plan's own
+  // after Capture(), a shared one after ShareSlab().
+  const float* slab() const { return slab_->data(); }
+  int64_t slab_capacity_bytes() const {
+    return slab_->numel() * static_cast<int64_t>(sizeof(float));
+  }
+
   // Human-readable program listing: one line per step with its operand
   // bindings (slab offsets, constants, input) — for tests and debugging.
   std::string DebugLayout() const;
@@ -120,7 +130,13 @@ class ExecutionPlan {
   ExecutionPlan& operator=(const ExecutionPlan&) = delete;
 
  private:
+  friend void ShareSlab(const std::vector<ExecutionPlan*>& plans);
+
   ExecutionPlan() = default;
+
+  // Points every slab operand into `slab` (at least slab_bytes large)
+  // and keeps it alive; the previously bound slab is released.
+  void BindSlab(std::shared_ptr<SlabLease> slab);
 
   struct CompiledStep {
     std::string name;
@@ -137,12 +153,28 @@ class ExecutionPlan {
   std::vector<CompiledStep> steps_;
   // (step, operand) slots to patch with the caller's input pointer.
   std::vector<std::pair<int, int>> input_patches_;
-  SlabLease slab_;
+  // (step, operand) slots that live in the slab, with their offsets in
+  // floats; BindSlab() rewrites them.
+  struct SlabSlot {
+    int step, arg;
+    int64_t offset;
+  };
+  std::vector<SlabSlot> slab_slots_;
+  std::shared_ptr<SlabLease> slab_;
   // Pinned parameter/constant buffers (capture-time and folded).
   std::vector<Tensor> pinned_;
   Tensor output_;  // persistent output buffer, rewritten by each Run()
   PlanStats stats_;
 };
+
+// Rebinds `plans` onto ONE slab: the widest they already hold, which
+// fits every one of them, so a batch ladder costs max(slab_bytes)
+// rather than the sum. A slab's
+// bytes are every bound plan's scratch, so plans sharing one must never
+// run concurrently (a core::PlannedForecaster's plans never do). Each
+// plan keeps the shared slab alive; slabs no plan holds any more go
+// back to the caching allocator.
+void ShareSlab(const std::vector<ExecutionPlan*>& plans);
 
 }  // namespace plan
 }  // namespace focus

@@ -108,6 +108,11 @@ ForecastEngine::ForecastEngine(ForecastModel* model, int64_t num_entities,
       }
     }
   }
+  // Capture ran the batch-max eager forward and replaced each worker's
+  // smaller slabs with one shared one; those buffers sit idle in the
+  // caching allocator. Serving reuses none of them (the request path
+  // only checks out arena slabs), so hand them back to the OS.
+  Allocator::Get().Trim();
 
   if (!opts.start_paused) Start();
 }

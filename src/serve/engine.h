@@ -15,7 +15,10 @@
 //     failed, or stale SIMD backend) serializes on a model mutex, because
 //     the eager forward records diagnostics into the model. The engine
 //     never captures plans while serving: captures are process-global,
-//     so they happen in the constructor (Prewarm) only.
+//     so they happen in the constructor (Prewarm) only. Each worker's
+//     ladder replays in one shared plan slab, and the constructor ends
+//     with Allocator::Trim(), so the capture's idle buffers do not stay
+//     resident for the engine's lifetime.
 //   * Admission micro-batching: requests land on a lock-minimal MPMC
 //     queue (request_queue.h); a worker blocks for the first request,
 //     admits stragglers for FOCUS_SERVE_BATCH_WINDOW_US, stages the

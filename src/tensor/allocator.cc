@@ -8,6 +8,10 @@
 #include <utility>
 #include <vector>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "utils/check.h"
 #include "utils/env.h"
 
@@ -224,6 +228,12 @@ int64_t Allocator::Trim() {
     g_trims.fetch_add(1, std::memory_order_relaxed);
     g_trimmed_bytes.fetch_add(released, std::memory_order_relaxed);
   }
+#ifdef __GLIBC__
+  // Buffers below glibc's mmap threshold went back to malloc's arenas,
+  // which keep the pages resident; hand the free pages to the OS too,
+  // or a trim would not lower RSS at all.
+  malloc_trim(0);
+#endif
   return released;
 }
 

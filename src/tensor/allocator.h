@@ -85,8 +85,10 @@ class Allocator {
   // when the cache is full or bypassed.
   void Deallocate(float* ptr, int64_t numel);
 
-  // Releases every cached buffer back to the system. Returns the number of
-  // bytes released. Thread-safe; concurrent alloc/free simply miss.
+  // Releases every cached buffer back to the system, and under glibc
+  // returns malloc's free pages to the OS (malloc_trim), so RSS really
+  // drops. Returns the number of cached bytes released. Thread-safe;
+  // concurrent alloc/free simply miss.
   int64_t Trim();
 
   AllocatorStats Stats() const;

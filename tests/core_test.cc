@@ -1,10 +1,16 @@
 // Tests for ProtoAttn and the FOCUS model: shapes across a parameter grid,
 // the Eq. 19 identical-rows property, linear-vs-quadratic FLOP scaling,
-// ablation variants, gradient flow, and end-to-end overfitting.
+// the dense Eq. 6 assignment against brute force (tie rule, backend
+// invariance), ablation variants, gradient flow, and end-to-end
+// overfitting.
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/segment_clustering.h"
 #include "core/focus_model.h"
 #include "core/offline.h"
 #include "core/proto_attn.h"
@@ -12,6 +18,8 @@
 #include "data/window.h"
 #include "optim/optimizer.h"
 #include "tensor/flops.h"
+#include "tensor/precision.h"
+#include "tensor/simd/vec.h"
 #include "tests/test_util.h"
 
 namespace focus {
@@ -132,6 +140,148 @@ TEST(ProtoAttnTest, GradientsFlowToProjections) {
   }
   // The shared embedding receives gradient through K/V too.
   EXPECT_TRUE(embed->Parameters()[0].Grad().defined());
+}
+
+// --- Nearest-prototype assignment -------------------------------------------
+
+// The shape-space z-normalization AssignTokens applies to a raw token.
+std::vector<float> ZNormalize(const float* seg, int64_t p) {
+  double mean = 0;
+  for (int64_t d = 0; d < p; ++d) mean += seg[d];
+  mean /= p;
+  double var = 0;
+  for (int64_t d = 0; d < p; ++d) var += (seg[d] - mean) * (seg[d] - mean);
+  const float inv_std =
+      1.0f / (static_cast<float>(std::sqrt(var / p)) + 1e-4f);
+  std::vector<float> shape(static_cast<size_t>(p));
+  for (int64_t d = 0; d < p; ++d) {
+    shape[static_cast<size_t>(d)] =
+        (seg[d] - static_cast<float>(mean)) * inv_std;
+  }
+  return shape;
+}
+
+std::unique_ptr<ProtoAttn> MakeAssigner(const Tensor& protos, float alpha) {
+  Rng rng(61);
+  auto embed = std::make_shared<nn::Linear>(protos.size(1), 16, rng);
+  return std::make_unique<ProtoAttn>(protos, embed, 16, alpha, rng);
+}
+
+struct DenseCase {
+  int64_t p;
+  float alpha;
+};
+
+void PrintTo(const DenseCase& c, std::ostream* os) {
+  *os << "p=" << c.p << " alpha=" << c.alpha;
+}
+
+class DenseAssignTest : public ::testing::TestWithParam<DenseCase> {};
+
+TEST_P(DenseAssignTest, MatchesBruteForceCompositeDistance) {
+  // The dense algebra rounds differently from the double-precision
+  // brute force, so a token whose two nearest prototypes are closer
+  // than kTieTolerance may legitimately go either way; it is skipped.
+  constexpr float kTieTolerance = 1e-3f;
+  const DenseCase c = GetParam();
+  const int64_t k = 16;
+  Tensor protos = MakePrototypes(k, c.p, 62 + static_cast<uint64_t>(c.p));
+  auto attn = MakeAssigner(protos, c.alpha);
+  Rng rng(63);
+  // Tokens arrive z-normalized (the clustering's shape space), then
+  // scaled and shifted so AssignTokens' own normalization has work to do.
+  Tensor tokens = Tensor::Randn({4, 300, c.p}, rng);
+  const int64_t rows = tokens.size(0) * tokens.size(1);
+  for (int64_t r = 0; r < rows; ++r) {
+    float* seg = tokens.data() + r * c.p;
+    const std::vector<float> z = ZNormalize(seg, c.p);
+    for (int64_t d = 0; d < c.p; ++d) {
+      seg[d] = 3.0f * z[static_cast<size_t>(d)] + 0.5f;
+    }
+  }
+  PrecisionGuard f32(Precision::kF32);
+  const std::vector<int64_t> dense = attn->AssignTokens(tokens);
+  ASSERT_EQ(static_cast<int64_t>(dense.size()), rows);
+
+  int64_t compared = 0;
+  for (int64_t r = 0; r < rows; ++r) {
+    const std::vector<float> shape = ZNormalize(tokens.data() + r * c.p, c.p);
+    float best = std::numeric_limits<float>::max();
+    float second = best;
+    int64_t best_j = 0;
+    for (int64_t j = 0; j < k; ++j) {
+      const float dist = cluster::CompositeDistance(
+          shape.data(), protos.data() + j * c.p, c.p, c.alpha);
+      if (dist < best) {
+        second = best;
+        best = dist;
+        best_j = j;
+      } else if (dist < second) {
+        second = dist;
+      }
+    }
+    if (second - best < kTieTolerance) continue;
+    ++compared;
+    EXPECT_EQ(dense[static_cast<size_t>(r)], best_j) << "token " << r;
+  }
+  EXPECT_GE(compared, 1000) << "too many near-ties skipped";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, DenseAssignTest,
+    ::testing::Values(DenseCase{8, 0.0f}, DenseCase{8, 0.3f},
+                      DenseCase{24, 0.0f}, DenseCase{24, 0.3f},
+                      DenseCase{96, 0.0f}, DenseCase{96, 0.3f}));
+
+TEST(DenseAssignTest, DuplicatedPrototypesResolveToLowerIndex) {
+  const int64_t k = 6, p = 16;
+  Tensor protos = MakePrototypes(k, p, 64);
+  // Rows 4 and 5 duplicate rows 1 and 2 exactly: their distances to any
+  // token are bit-identical, and the tie must go to the lower index.
+  std::copy_n(protos.data() + 1 * p, p, protos.data() + 4 * p);
+  std::copy_n(protos.data() + 2 * p, p, protos.data() + 5 * p);
+  Tensor tokens = Tensor::Empty({2, k, p});
+  Rng rng(65);
+  Tensor noise = Tensor::Randn({2, k, p}, rng);
+  for (int64_t i = 0; i < 2 * k; ++i) {
+    for (int64_t d = 0; d < p; ++d) {
+      tokens.data()[i * p + d] = protos.data()[(i % k) * p + d] +
+                                 0.01f * noise.data()[i * p + d];
+    }
+  }
+  const int64_t expected[] = {0, 1, 2, 3, 1, 2};
+  InferenceModeGuard inference;
+  for (float alpha : {0.0f, 0.3f}) {
+    auto attn = MakeAssigner(protos, alpha);
+    for (Precision mode : {Precision::kF32, Precision::kInt8Proto}) {
+      PrecisionGuard guard(mode);
+      const std::vector<int64_t> assign = attn->AssignTokens(tokens);
+      for (int64_t i = 0; i < 2 * k; ++i) {
+        EXPECT_EQ(assign[static_cast<size_t>(i)], expected[i % k])
+            << "token " << i << " alpha " << alpha << " mode "
+            << PrecisionName(mode);
+      }
+    }
+  }
+}
+
+TEST(DenseAssignTest, BackendInvariant) {
+  if (!simd::Avx2Available()) GTEST_SKIP() << "AVX2 unavailable";
+  // k = 13 and p = 21 exercise the matmul kernel's remainder column and
+  // the dot/row-sum tails as well as the 8-lane main loops.
+  for (int64_t k : {13, 16}) {
+    Tensor protos = MakePrototypes(k, 21, 66);
+    auto attn = MakeAssigner(protos, 0.3f);
+    Rng rng(67);
+    Tensor tokens = Tensor::Randn({3, 37, 21}, rng);
+    PrecisionGuard f32(Precision::kF32);
+    ASSERT_TRUE(simd::SetBackend(simd::Backend::kScalar));
+    const std::vector<int64_t> scalar_assign = attn->AssignTokens(tokens);
+    ASSERT_TRUE(simd::SetBackend(simd::Backend::kAvx2));
+    const std::vector<int64_t> avx2_assign = attn->AssignTokens(tokens);
+    simd::ReinitFromEnv();
+    EXPECT_EQ(scalar_assign, avx2_assign) << "k " << k;
+  }
 }
 
 // --- FocusModel -------------------------------------------------------------

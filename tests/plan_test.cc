@@ -2,16 +2,21 @@
 // determinism, bit-identity of the replayed program against the eager
 // forward, the slab lifetime solver's non-overlap property (reconstructed
 // from the DebugLayout listing), the zero-allocator-calls steady-state
-// invariant, shape-guard fallback, fused-vs-unfused bit-identity, and the
-// fail-safe nullptr return for forwards that use uninstrumented ops.
+// invariant and its zero-heap-allocation counterpart, shape-guard
+// fallback, fused-vs-unfused bit-identity, one shared slab per
+// forecaster, and the fail-safe nullptr return for forwards that use
+// uninstrumented ops.
 #include "plan/plan.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +29,82 @@
 #include "tensor/ops.h"
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
+
+// Counting replacements of the global allocation functions: while
+// g_count_news is set, every operator new on any thread bumps g_news.
+// The full set (plain/array, aligned, nothrow, every delete) is replaced
+// so allocation and deallocation always pair malloc with free — the
+// sanitizer builds check that pairing.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<int64_t> g_news{0};
+
+void* CountedAlloc(std::size_t size, std::size_t align) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (size == 0) size = 1;
+  if (align <= alignof(std::max_align_t)) return std::malloc(size);
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+void* CountedNew(std::size_t size, std::size_t align) {
+  void* p = CountedAlloc(size, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNew(n, 0); }
+void* operator new[](std::size_t n) { return CountedNew(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedNew(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return CountedNew(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n, 0);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n, 0);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return CountedAlloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace focus {
 namespace {
@@ -298,6 +379,24 @@ TEST(PlanTest, SteadyStateMakesZeroAllocatorCalls) {
   ASSERT_TRUE(out.defined());
 }
 
+TEST(PlanTest, SteadyStateMakesZeroHeapAllocations) {
+  // Stricter than the allocator-stats check above: no operator new at
+  // all, from any layer, on any thread, across Run() of the FOCUS plan.
+  auto model = SmallModel();
+  Rng rng(7);
+  Tensor x = Tensor::Randn({2, 3, 32}, rng);
+  auto plan = ExecutionPlan::Capture(
+      [&](const Tensor& in) { return model->Forward(in); }, x);
+  ASSERT_NE(plan, nullptr);
+  plan->Run(x);
+
+  g_news.store(0);
+  g_count_news.store(true);
+  for (int i = 0; i < 5; ++i) plan->Run(x);
+  g_count_news.store(false);
+  EXPECT_EQ(g_news.load(), 0) << "heap allocations across 5 replays";
+}
+
 TEST(PlanTest, ShapeAndBackendGuard) {
   auto model = SmallModel();
   Rng rng(8);
@@ -445,6 +544,42 @@ TEST(PlanTest, PrewarmCompilesLadderAndFirstForwardReplays) {
   // Prewarming again is idempotent: live plans are kept, none recompiled.
   EXPECT_EQ(forecaster.PrewarmBatchSizes({1, 3, 32}, {1, 2, 4}), 0);
   EXPECT_EQ(registry.CounterValue("plan/prewarm") - before, 3);
+}
+
+TEST(PlanTest, ForecasterLadderSharesOneSlab) {
+  auto model = SmallModel();
+  PlannedForecaster forecaster(model.get());
+  const std::vector<int64_t> ladder = {1, 2, 4, 8, 16};
+  ASSERT_EQ(forecaster.PrewarmBatchSizes({1, 3, 32}, ladder), 5);
+  int64_t max_slab = 0;
+  const float* slab = forecaster.plan_for(Shape{1, 3, 32})->slab();
+  for (int64_t b : ladder) {
+    const ExecutionPlan* plan = forecaster.plan_for(Shape{b, 3, 32});
+    ASSERT_NE(plan, nullptr) << "batch " << b;
+    EXPECT_EQ(plan->slab(), slab) << "batch " << b << " has its own slab";
+    max_slab = std::max(max_slab, plan->stats().slab_bytes);
+  }
+  EXPECT_GT(max_slab, forecaster.plan_for(Shape{1, 3, 32})->stats().slab_bytes);
+  EXPECT_EQ(forecaster.plan_for(Shape{1, 3, 32})->slab_capacity_bytes(),
+            max_slab);
+
+  // Replays of every ladder size, interleaved so each one runs over the
+  // scratch another size just left in the shared slab, stay bit-identical
+  // to eager.
+  Rng rng(23);
+  std::vector<Tensor> inputs, eager;
+  for (int64_t b : ladder) {
+    inputs.push_back(Tensor::Randn({b, 3, 32}, rng));
+    InferenceModeGuard inference;
+    eager.push_back(model->Forward(inputs.back()).Clone());
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i : {4u, 0u, 3u, 1u, 2u, 0u, 4u}) {
+      ExpectSameBytes(forecaster.Forward(inputs[i]), eager[i],
+                      "interleaved ladder replay");
+      EXPECT_TRUE(forecaster.last_was_planned());
+    }
+  }
 }
 
 TEST(PlanTest, PrewarmSkipsUncapturableShapes) {

@@ -236,8 +236,10 @@ TEST(QuantBankTest, StatisticsMatchDequantizedReference) {
     const float mean = static_cast<float>(sum) / bank.p;
     EXPECT_FLOAT_EQ(bank.sq_norm[sj], static_cast<float>(sq));
     EXPECT_FLOAT_EQ(bank.mean[sj], mean);
-    EXPECT_FLOAT_EQ(bank.var[sj],
-                    static_cast<float>(sq) - bank.p * mean * mean);
+    const double dmean = sum / bank.p;
+    EXPECT_FLOAT_EQ(bank.inv_root[sj],
+                    static_cast<float>(1.0 / std::sqrt(sq - bank.p * dmean *
+                                                            dmean)));
   }
 }
 

@@ -327,6 +327,37 @@ TEST(ServeTest, ZeroSteadyStateGlobalAllocatorCallsOnRequestPath) {
   allocator.SetCapBytes(saved_cap);
 }
 
+TEST(ServeTest, ConstructionReturnsCaptureMemory) {
+  // Prewarm's capture buffers and replaced plan slabs must not stay
+  // parked in the caching allocator for the engine's lifetime. The cap
+  // is raised so the eager reference below really leaves buffers cached
+  // (the ASan leg runs with the cache bypassed).
+  Allocator& allocator = Allocator::Get();
+  const int64_t saved_cap = allocator.cap_bytes();
+  allocator.SetCapBytes(256 * (int64_t{1} << 20));
+
+  auto model = ServableModel();
+  Tensor window = MakeWindow(47);
+  Tensor ref = EagerReference(*model, window);
+  ASSERT_GT(allocator.Stats().cached_bytes, 0);
+  ServeOptions opts;
+  opts.threads = 1;
+  opts.batch_window_us = 0;
+  opts.max_batch = 4;
+  opts.start_paused = true;
+  ForecastEngine engine(model.get(), kEntities, kLookback, opts);
+  EXPECT_EQ(allocator.Stats().cached_bytes, 0);
+
+  // The first batch after the trim still replays the prewarmed plan,
+  // bit-identical to eager.
+  engine.Start();
+  ExpectSameBytes(engine.Forecast(window), ref, "first served vs eager");
+  EXPECT_EQ(engine.stats().planned_batches, 1);
+
+  engine.Shutdown();
+  allocator.SetCapBytes(saved_cap);
+}
+
 TEST(ServeTest, LatencyAndBatchMetricsExported) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
   registry.ResetHistogram(ForecastEngine::kLatencyMetric);
