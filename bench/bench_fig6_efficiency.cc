@@ -7,9 +7,7 @@
 // all-pairs terms grow super-linearly.
 //
 // The per-component section attributes FLOPs / peak memory / wall-clock to
-// the embed / branch / fusion spans via obs::TraceSpan and cross-checks the
-// FLOP numbers against the legacy FlopCounter::Breakdown() region path
-// (they must agree within 1%).
+// the embed / branch / fusion spans via obs::TraceSpan.
 //
 // --bench-json=<path> additionally records every (model, L) latency/FLOP
 // probe in the unified bench-result schema (obs/bench_report.h) so
@@ -18,7 +16,6 @@
 // section (src/plan execution path) in the same schema; the committed
 // recording lives at results/BENCH_plan.json.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "core/planned_forecaster.h"
@@ -27,7 +24,6 @@
 #include "obs/bench_report.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
-#include "tensor/flops.h"
 #include "utils/flags.h"
 #include "utils/stopwatch.h"
 #include "utils/table.h"
@@ -166,45 +162,27 @@ int main(int argc, char** argv) {
                 plan_json.c_str(), plan_report.entries.size());
   }
 
-  // FOCUS per-component attribution via obs::TraceSpan, cross-checked
-  // against the legacy FlopCounter::Breakdown() region path.
-  std::printf("\nFOCUS per-component breakdown (TraceSpan vs legacy):\n");
+  // FOCUS per-component attribution via obs::TraceSpan.
+  std::printf("\nFOCUS per-component breakdown (TraceSpan self cost):\n");
   auto& tracer = obs::Tracer::Get();
   const bool was_enabled = tracer.enabled();
   tracer.Enable();
-  bool parity_ok = true;
-  Table breakdown({"L", "Component", "FLOPs(M)", "Legacy(M)", "Delta(%)",
-                   "PeakMem(MB)", "Wall(ms)"});
+  Table breakdown({"L", "Component", "FLOPs(M)", "PeakMem(MB)", "Wall(ms)"});
   for (int64_t length : {96, 384, 768}) {
     auto model = harness::BuildModel("FOCUS", data, length, horizon, profile);
     Tensor sample = Tensor::Randn({1, n, length}, rng);
     tracer.Clear();
     metrics::ProbeEfficiency(*model, sample);
-    const auto legacy = FlopCounter::Breakdown();
     for (const auto& [name, stats] : obs::AggregateSpans(tracer.Snapshot())) {
       if (name.rfind("focus/", 0) != 0) continue;
-      double legacy_flops = 0.0;
-      for (const auto& [region, flops] : legacy) {
-        if (region == name) legacy_flops = static_cast<double>(flops);
-      }
-      const double span_flops = static_cast<double>(stats.self_flops);
-      const double delta_pct =
-          legacy_flops > 0.0
-              ? 100.0 * std::fabs(span_flops - legacy_flops) / legacy_flops
-              : (span_flops > 0.0 ? 100.0 : 0.0);
-      if (delta_pct > 1.0) parity_ok = false;
       breakdown.AddRow({std::to_string(length), name,
-                        Table::Num(span_flops / 1e6, 2),
-                        Table::Num(legacy_flops / 1e6, 2),
-                        Table::Num(delta_pct, 3),
+                        Table::Num(stats.self_flops / 1e6, 2),
                         Table::Num(stats.peak_bytes / (1024.0 * 1024.0), 2),
                         Table::Num(stats.wall_us / 1e3, 2)});
     }
   }
   if (!was_enabled) tracer.Disable();
   std::printf("%s", breakdown.ToAscii().c_str());
-  std::printf("span/legacy FLOP parity (<=1%%): %s\n",
-              parity_ok ? "OK" : "MISMATCH");
   if (!bench_json.empty()) {
     const Status status = obs::WriteBenchReport(bench_report, bench_json);
     if (!status.ok()) {
@@ -214,5 +192,5 @@ int main(int argc, char** argv) {
     std::printf("bench report written to %s (%zu entries)\n",
                 bench_json.c_str(), bench_report.entries.size());
   }
-  return parity_ok ? 0 : 1;
+  return 0;
 }

@@ -19,12 +19,6 @@
 #   5. tsan      — ThreadSanitizer; the suite additionally re-runs the
 #                  parallel-sensitive tests with FOCUS_NUM_THREADS=4 and 8
 #                  (registered by tests/CMakeLists.txt under FOCUS_TSAN).
-#   6. precision — re-runs the `parity` tests and the `quant`
-#                  accuracy-budget gate with FOCUS_PRECISION=bf16 and then
-#                  =int8proto in the default Release build: the bit-identity
-#                  contracts (eager/planned/served, scalar/avx2) must hold
-#                  in every precision mode, and the MSE deltas must stay
-#                  inside the budgets committed in bench/bench_quant.cc.
 #
 # An optional `perf` leg (not in the default matrix — it needs a quiet
 # machine) builds bench_kernels + bench_serve in Release, runs their
@@ -43,7 +37,7 @@
 #   scripts/check.sh                # full matrix
 #   scripts/check.sh lint           # one leg:
 #                                   #   lint|analyze|default|simdoff|asan|
-#                                   #   tsan|precision|perf (analyze = just
+#                                   #   tsan|perf (analyze = just
 #                                   #   the focus_analyze part of lint)
 #   FOCUS_CHECK_JOBS=8 scripts/check.sh   # override build parallelism
 set -euo pipefail
@@ -145,34 +139,8 @@ run_leg_asan() {
   # numbers (the parity tests prove it), but every lane access is a plain
   # float read ASan/UBSan can attribute precisely, instead of a 32-byte
   # vector load that can mask a 4-byte overrun.
-  # FOCUS_PRECISION=f32 pins the sanitizer run to the default precision
-  # even when the invoking shell exported a mixed-precision mode: the
-  # precision leg owns bf16/int8proto coverage, and a sanitizer failure
-  # should always reproduce under the one canonical configuration.
-  FOCUS_ALLOC_CACHE_MB=0 FOCUS_SIMD=scalar FOCUS_PRECISION=f32 \
-    configure_build_test build-asan \
+  FOCUS_ALLOC_CACHE_MB=0 FOCUS_SIMD=scalar configure_build_test build-asan \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFOCUS_ASAN=ON -DFOCUS_BUILD_BENCH=OFF
-}
-
-run_leg_precision() {
-  # Mixed-precision sweep over the default Release build: every
-  # bit-identity contract (label `parity`: eager vs planned vs served,
-  # scalar vs avx2) must hold under each FOCUS_PRECISION mode, and the
-  # `quant` label runs bench_quant --smoke, which fails on any MSE delta
-  # beyond the per-dataset budgets committed in bench/bench_quant.cc.
-  # f32 needs no separate pass here — the default leg already ran the
-  # whole suite at the default precision.
-  local dir=build-check
-  note "configure $dir (Release, for precision sweep)"
-  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release -DFOCUS_WERROR=ON \
-    >/dev/null
-  note "build $dir"
-  cmake --build "$dir" -j "$JOBS"
-  for mode in bf16 int8proto; do
-    note "ctest $dir (-L 'parity|quant', FOCUS_PRECISION=$mode)"
-    FOCUS_PRECISION="$mode" ctest --test-dir "$dir" --output-on-failure \
-      -j "$JOBS" -L 'parity|quant'
-  done
 }
 
 run_leg_tsan() {
@@ -206,21 +174,20 @@ run_leg_perf() {
     "$dir/BENCH_serve_smoke.json" --threshold-pct=50
 }
 
-LEGS=("${@:-lint default simdoff precision asan tsan}")
+LEGS=("${@:-lint default simdoff asan tsan}")
 [ $# -gt 0 ] && LEGS=("$@") \
-  || LEGS=(lint default simdoff precision asan tsan)
+  || LEGS=(lint default simdoff asan tsan)
 for leg in "${LEGS[@]}"; do
   case "$leg" in
     lint)      run_leg_lint ;;
     analyze)   run_leg_analyze ;;
     default)   run_leg_default ;;
     simdoff)   run_leg_simdoff ;;
-    precision) run_leg_precision ;;
     asan)      run_leg_asan ;;
     tsan)      run_leg_tsan ;;
     perf)      run_leg_perf ;;
     *) echo "check.sh: unknown leg '$leg'" \
-            "(want lint|analyze|default|simdoff|precision|asan|tsan|perf)" >&2
+            "(want lint|analyze|default|simdoff|asan|tsan|perf)" >&2
        exit 2 ;;
   esac
 done

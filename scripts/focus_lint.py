@@ -38,18 +38,6 @@ repo rules — correctness contracts from the parallel-kernel layer:
                      compiler's lifetime solver can prove a slab pointer
                      valid, so no other layer may hold one. No NOLINT
                      escape.
-  precision-containment
-                     Mixed-precision conversion primitives stay behind the
-                     kernel table. Float-width conversion intrinsics
-                     (_mm*_cvt*, the F16C scalar pair, vcvtneps2bf16) are
-                     confined to src/tensor/simd/ — everything else narrows
-                     through pack_bf16/unpack_bf16, which is what keeps bf16
-                     rounding identical across backends. The int8 requantize
-                     primitive dot_i8 is additionally confined to
-                     src/core/proto_attn.cc (the sole int8 consumer) plus
-                     tests/ and bench/ which exercise the kernel directly; a
-                     second consumer would fork the requantization math. No
-                     NOLINT escape.
   arena-containment  ArenaLease (the serving scratch slab) is confined to
                      src/serve/, its definition in tensor/allocator.{h,cc},
                      and tests/. A lease's bump pointer has exactly one
@@ -247,35 +235,6 @@ def check_arena_containment(path, raw, code):
                "engine instead of carving arena scratch directly")
 
 
-def check_precision_containment(path, raw, code):
-    # bf16/f16 width conversions round; int8 requantization rescales. Both
-    # are deterministic only because exactly one implementation of each
-    # exists (kernels.inc, both backends from one source). A raw
-    # conversion intrinsic elsewhere — including the SSE/F16C ones the
-    # _mm256 simd-containment pattern does not catch — would fork the
-    # rounding, so they are confined to src/tensor/simd/ with no NOLINT
-    # escape. dot_i8 (the only int8 kernel) additionally admits exactly
-    # one product consumer: the ProtoAttn assignment path.
-    rel = str(path.relative_to(REPO_ROOT)).replace("\\", "/")
-    if rel.startswith("src/tensor/simd/"):
-        return
-    cvt = (r"\b_mm\d*_cvt\w+|\b_mm_cvt\w+|\bvcvtneps2bf16\w*"
-           r"|\b_cvtss_sh\b|\b_cvtsh_ss\b")
-    for m in re.finditer(cvt, code):
-        report(path, line_of(code, m.start()), "precision-containment",
-               f"conversion intrinsic '{m.group(0)}' outside "
-               "src/tensor/simd/; narrow through the pack_bf16/unpack_bf16 "
-               "kernel-table entries")
-    if (rel == "src/core/proto_attn.cc" or rel.startswith("tests/")
-            or rel.startswith("bench/")):
-        return
-    for m in re.finditer(r"\bdot_i8\b", code):
-        report(path, line_of(code, m.start()), "precision-containment",
-               "dot_i8 outside src/core/proto_attn.cc; the int8 requantize "
-               "path has exactly one product consumer — go through "
-               "ProtoAttn::AssignTokens")
-
-
 def check_simd_containment(path, raw, code):
     # Raw intrinsics anywhere else would fork the numerics: the determinism
     # contract holds because every vector kernel is compiled once from
@@ -369,7 +328,6 @@ def main():
             check_perf_containment(path, raw, code)
             check_plan_containment(path, raw, code)
             check_arena_containment(path, raw, code)
-            check_precision_containment(path, raw, code)
             check_simd_containment(path, raw, code)
             check_op_entry_guard(path, raw, code, op_names)
         if "format" in families:

@@ -10,7 +10,6 @@
 #include "tensor/flops.h"
 #include "tensor/ops.h"
 #include "tensor/plan_hooks.h"
-#include "tensor/precision.h"
 #include "tensor/simd/vec.h"
 
 namespace focus {
@@ -23,11 +22,9 @@ namespace {
 // in L1 and a plan replay allocates nothing.
 constexpr int64_t kAssignBlock = 32;
 
-// Scratch floats AssignRows needs: block shapes, block cross terms, and
-// the int8proto branch's quantized token (p bytes).
+// Scratch floats AssignRows needs: block shapes and block cross terms.
 int64_t AssignScratchFloats(int64_t rows, int64_t k, int64_t p) {
-  const int64_t block = std::min(rows, kAssignBlock);
-  return block * (p + k) + (p + 3) / 4;
+  return std::min(rows, kAssignBlock) * (p + k);
 }
 
 // Token-side terms of the dense Eq. 6 distance.
@@ -41,8 +38,7 @@ TokenTerms MakeTokenTerms(float sq_norm, float sum, int64_t p) {
   return {sq_norm, mean, var >= 1e-12f ? 1.0f / std::sqrt(var) : 0.0f};
 }
 
-// Eq. 6 argmin from one token's k cross terms t.c_j, shared by the f32
-// and int8proto branches:
+// Eq. 6 argmin from one token's k cross terms t.c_j:
 //   ||t||^2 + ||c||^2 - 2 t.c + alpha (1 - (t.c - p m_t m_c) / sqrt(da dc))
 // with the prototype terms frozen at construction and the inverse roots
 // replacing the per-pair sqrt. The strict < keeps the first minimum, so
@@ -68,27 +64,21 @@ int64_t ArgminEq6(const float* cross, const TokenTerms& t,
   return best_j;
 }
 
-// Shared assignment sweep: z-normalize each raw segment (f32, identical
-// in every precision mode) and emit(row, argmin) over the prototype
-// bank. The f32 branch takes a block's cross terms from one call of the
-// 4x8 matmul kernel against the frozen (p, k) panel. With `qbank` set,
-// the token quantizes symmetrically (tscale = max|t|/127, zero point 0),
-// each (token, prototype) pair costs ONE int32 dot_i8, and the cross
-// term requantizes from it in f32. Serial over rows; eager training,
-// AssignTokens and the plan replay closure all call exactly this
-// function, so eager and planned forwards are bit-identical, and every
-// kernel it uses is backend-invariant.
+// Assignment sweep: z-normalize each raw segment and emit(row, argmin)
+// over the prototype bank. A block's cross terms come from one call of
+// the 4x8 matmul kernel against the frozen (p, k) panel. Serial over
+// rows; eager training, AssignTokens and the plan replay closure all
+// call exactly this function, so eager and planned forwards are
+// bit-identical, and every kernel it uses is backend-invariant.
 template <typename Emit>
 void AssignRows(const float* raw, int64_t rows,
-                const PrototypeBankStats& bank, float alpha,
-                const QuantizedPrototypeBank* qbank, float* scratch,
+                const PrototypeBankStats& bank, float alpha, float* scratch,
                 Emit&& emit) {
   const int64_t k = bank.k, p = bank.p;
   const simd::KernelTable& kt = simd::Kernels();
   const int64_t block = std::min(rows, kAssignBlock);
   float* shapes = scratch;
   float* cross = shapes + block * p;
-  int8_t* tq = reinterpret_cast<int8_t*>(cross + block * k);
   for (int64_t r0 = 0; r0 < rows; r0 += block) {
     const int64_t n = std::min(block, rows - r0);
     for (int64_t i = 0; i < n; ++i) {
@@ -106,47 +96,14 @@ void AssignRows(const float* raw, int64_t rows,
         shape[d] = (seg[d] - static_cast<float>(mean)) * inv_std;
       }
     }
-    if (qbank == nullptr) {
-      kt.matmul_row_block(shapes, bank.panel.data(), cross, 0, n, p, k);
-      for (int64_t i = 0; i < n; ++i) {
-        const float* shape = shapes + i * p;
-        const TokenTerms t = MakeTokenTerms(kt.dot(shape, shape, p),
-                                            kt.row_sum(shape, p), p);
-        emit(r0 + i, ArgminEq6(cross + i * k, t, bank.sq_norm.data(),
-                               bank.mean.data(), bank.inv_root.data(), k,
-                               p, alpha));
-      }
-      continue;
-    }
+    kt.matmul_row_block(shapes, bank.panel.data(), cross, 0, n, p, k);
     for (int64_t i = 0; i < n; ++i) {
       const float* shape = shapes + i * p;
-      float amax = 0.0f;
-      for (int64_t d = 0; d < p; ++d) {
-        amax = std::max(amax, std::fabs(shape[d]));
-      }
-      const float tscale = amax > 0.0f ? amax / 127.0f : 1.0f;
-      int32_t tsum = 0;
-      for (int64_t d = 0; d < p; ++d) {
-        const int32_t qi = std::clamp(
-            static_cast<int32_t>(std::lrintf(shape[d] / tscale)), -128, 127);
-        tq[d] = static_cast<int8_t>(qi);
-        tsum += qi;
-      }
-      const int32_t tsq = kt.dot_i8(tq, tq, p);
-      const TokenTerms t =
-          MakeTokenTerms(tscale * tscale * static_cast<float>(tsq),
-                         tscale * static_cast<float>(tsum), p);
-      float* row_cross = cross + i * k;
-      for (int64_t j = 0; j < k; ++j) {
-        const size_t sj = static_cast<size_t>(j);
-        const int32_t dot = kt.dot_i8(tq, qbank->q.data() + j * p, p);
-        // f32 requantize of the int32 accumulator: sum of t_hat*c_hat.
-        row_cross[j] = tscale * qbank->scale[sj] *
-                       static_cast<float>(dot - qbank->zero_point[sj] * tsum);
-      }
-      emit(r0 + i, ArgminEq6(row_cross, t, qbank->sq_norm.data(),
-                             qbank->mean.data(), qbank->inv_root.data(), k,
-                             p, alpha));
+      const TokenTerms t = MakeTokenTerms(kt.dot(shape, shape, p),
+                                          kt.row_sum(shape, p), p);
+      emit(r0 + i, ArgminEq6(cross + i * k, t, bank.sq_norm.data(),
+                             bank.mean.data(), bank.inv_root.data(), k, p,
+                             alpha));
     }
   }
 }
@@ -164,11 +121,9 @@ ProtoAttn::ProtoAttn(Tensor prototypes, std::shared_ptr<nn::Linear> embed,
       << "embedding input dim must equal segment length p";
   FOCUS_CHECK_EQ(embed_->out_features(), d_model);
   // Freeze time: the bank is fixed for the module's lifetime, so its f32
-  // panel, int8 image and both sets of row statistics are computed once.
+  // panel and row statistics are computed once.
   bank_ = std::make_shared<const PrototypeBankStats>(
       ComputePrototypeBankStats(prototypes_));
-  qbank_ = std::make_shared<const QuantizedPrototypeBank>(
-      QuantizePrototypeBank(prototypes_));
   we_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
   wk_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
   wv_ = std::make_shared<nn::Linear>(d_model, d_model, rng);
@@ -190,16 +145,12 @@ std::vector<int64_t> ProtoAttn::AssignTokens(const Tensor& tokens_raw) const {
   std::vector<int64_t> assignments(static_cast<size_t>(rows));
   std::vector<float> scratch(
       static_cast<size_t>(AssignScratchFloats(rows, k, p)));
-  const bool use_int8 = !GradMode::IsEnabled() &&
-                        PrecisionMode::Get() == Precision::kInt8Proto;
-  AssignRows(tokens_raw.data(), rows, *bank_, alpha_,
-             use_int8 ? qbank_.get() : nullptr, scratch.data(),
+  AssignRows(tokens_raw.data(), rows, *bank_, alpha_, scratch.data(),
              [&](int64_t r, int64_t j) {
                assignments[static_cast<size_t>(r)] = j;
              });
   // Assignment cost (counted so the FLOPs metric reflects Algorithm 2's
-  // O(l * k * p) step; the dense and int8 paths do the same
-  // multiply-add count in different arithmetic).
+  // O(l * k * p) step).
   FlopCounter::Add(3 * rows * k * p);
   return assignments;
 }
@@ -230,15 +181,10 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
     // buffer — same kernels, same accumulation order, same bits.
     // The sweep's scratch is a slab slot and the argmin writes the
     // one-hot row directly, so a replay makes no heap allocation.
-    // Plan::Matches() pins the ambient PrecisionMode, so capturing the
-    // precision-resolved bank (int8 under int8proto, else f32) means a
-    // plan never replays the wrong variant; the shared_ptrs keep the
-    // banks alive past the module. Member diagnostics
-    // (last_assignment_/last_attention_) are NOT replayed by plans.
+    // The shared_ptr keeps the bank alive past the module. Member
+    // diagnostics (last_assignment_/last_attention_) are NOT replayed by
+    // plans.
     std::shared_ptr<const PrototypeBankStats> bank = bank_;
-    std::shared_ptr<const QuantizedPrototypeBank> qb =
-        (PrecisionMode::Get() == Precision::kInt8Proto) ? qbank_
-                                                        : nullptr;
     const float alpha = alpha_;
     const int64_t rows = b * l;
     plan_hooks::StepRecord rec;
@@ -246,10 +192,10 @@ Tensor ProtoAttn::Forward(const Tensor& tokens_raw, const Tensor& tokens_emb) {
     rec.inputs = {tokens_raw};
     rec.output = a;
     rec.scratch_numels = {AssignScratchFloats(rows, k, bank->p)};
-    rec.fn = [bank, qb, alpha, rows, k](float* const* bufs) {
+    rec.fn = [bank, alpha, rows, k](float* const* bufs) {
       float* pa = bufs[1];
       std::fill_n(pa, rows * k, 0.0f);
-      AssignRows(bufs[0], rows, *bank, alpha, qb.get(), bufs[2],
+      AssignRows(bufs[0], rows, *bank, alpha, bufs[2],
                  [pa, k](int64_t r, int64_t j) { pa[r * k + j] = 1.0f; });
     };
     plan_hooks::RecordStep(std::move(rec));

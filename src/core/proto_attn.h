@@ -49,22 +49,18 @@ class ProtoAttn : public nn::Module {
   // Hard assignment indices for a (B', l, p) raw-token tensor: the
   // nearest prototype under the Eq. 6 composite distance, evaluated as
   // dense algebra over the freeze-time bank statistics (an exact tie
-  // goes to the lower prototype index). Under FOCUS_PRECISION=int8proto
-  // (and grad mode off) the cross terms come from the frozen bank's int8
-  // quantization with int32 accumulation and f32 requantize; training
-  // and the other precision modes use the f32 panel.
+  // goes to the lower prototype index).
   std::vector<int64_t> AssignTokens(const Tensor& tokens_raw) const;
 
   int64_t num_prototypes() const { return prototypes_.size(0); }
 
  private:
   Tensor prototypes_;  // (k, p), constant
-  // f32 panel + row statistics and int8 quantization of the frozen bank,
-  // computed once at construction ("freeze time", core/offline.h).
-  // shared_ptr so plan-capture closures keep them alive past the module
-  // (k*p floats / int8 + O(k) stats — tiny).
+  // f32 panel + row statistics of the frozen bank, computed once at
+  // construction ("freeze time", core/offline.h). shared_ptr so
+  // plan-capture closures keep it alive past the module (k*p floats +
+  // O(k) stats — tiny).
   std::shared_ptr<const PrototypeBankStats> bank_;
-  std::shared_ptr<const QuantizedPrototypeBank> qbank_;
   std::shared_ptr<nn::Linear> embed_;
   int64_t d_model_;
   float alpha_;

@@ -53,8 +53,7 @@ void KernelBeginHook(const char* name) {
   const int rate = Tracer::Get().kernel_sample_rate();
   if (rate > 0 && state.kernel_counter++ % static_cast<uint64_t>(rate) == 0) {
     TraceSpan::Options options;
-    options.attribute_flop_region = false;  // don't steal region attribution
-    options.counts_toward_parent = false;   // sampled: keep parents honest
+    options.counts_toward_parent = false;  // sampled: keep parents honest
     span = std::make_unique<TraceSpan>(name, options);
   }
   state.kernel_spans.push_back(std::move(span));
@@ -360,10 +359,6 @@ Status Tracer::Flush() {
 }
 
 TraceSpan::TraceSpan(const char* name, Options options) : name_(name) {
-  if (options.attribute_flop_region) {
-    prev_region_ = internal_flops::SetRegion(name);
-    region_set_ = true;
-  }
   if (!TracingEnabled()) return;
   active_ = true;
   counts_toward_parent_ = options.counts_toward_parent;
@@ -401,7 +396,6 @@ TraceSpan::TraceSpan(const char* name, Options options) : name_(name) {
 }
 
 TraceSpan::~TraceSpan() {
-  if (region_set_) internal_flops::SetRegion(prev_region_);
   if (!active_) return;
   ThreadState& state = State();
   if (!state.stack.empty() && state.stack.back() == this) {

@@ -6,12 +6,10 @@
 // the deltas. Spans nest via a thread-local stack, so a span knows both its
 // inclusive cost and its self cost (inclusive minus enclosed spans) — the
 // per-component view behind the paper's Fig. 6 / Table IV efficiency
-// breakdown. Every TraceSpan also tags the legacy FlopCounter region with
-// its name, so FlopCounter::Breakdown() keeps working for old callers and
-// always agrees with the spans' self-FLOPs.
+// breakdown.
 //
-// Recording is off by default; a TraceSpan then costs two pointer writes
-// and one atomic load. Enable it either programmatically
+// Recording is off by default; a TraceSpan then costs one atomic load.
+// Enable it either programmatically
 // (Tracer::Get().Enable() for in-memory collection, SetOutput() to also
 // write a file at exit) or externally:
 //
@@ -148,9 +146,6 @@ inline bool TracingEnabled() { return Tracer::Get().enabled(); }
 class TraceSpan {
  public:
   struct Options {
-    // Tag the legacy FlopCounter region with the span name so
-    // FlopCounter::Breakdown() attributes FLOPs to it (innermost wins).
-    bool attribute_flop_region = true;
     // Whether the span's inclusive FLOPs subtract from the parent's
     // self-FLOPs. Sampled kernel spans set false: they are observations of
     // a fraction of the work and must not perturb component attribution.
@@ -168,8 +163,6 @@ class TraceSpan {
 
  private:
   const char* name_;
-  const char* prev_region_ = nullptr;
-  bool region_set_ = false;
   bool active_ = false;
   bool counts_toward_parent_ = true;
   bool planned_ = false;

@@ -27,8 +27,7 @@ namespace plan {
 namespace {
 
 // 64-byte slab alignment (one cache line, two AVX2 lanes). The packer
-// works in BYTES so mixed element sizes (f32 temps, bf16-packed temps)
-// share one slab with exact lifetimes.
+// works in bytes.
 constexpr int64_t kAlignBytes = 64;
 
 int64_t AlignUpBytes(int64_t bytes) {
@@ -38,12 +37,13 @@ int64_t AlignUpBytes(int64_t bytes) {
 struct Value {
   enum Kind { kInput, kConstant, kTemp, kScratch };
   Kind kind = kTemp;
-  int64_t numel = 0;       // logical element count
-  int32_t elem_bytes = 4;  // storage bytes per element (4=f32, 2=bf16)
-  Tensor pinned;           // keeps constant buffers alive
-  int64_t offset = -1;     // slab offset (bytes) for temps/scratch
+  int64_t numel = 0;    // f32 element count
+  Tensor pinned;        // keeps constant buffers alive
+  int64_t offset = -1;  // slab offset (bytes) for temps/scratch
 
-  int64_t bytes() const { return numel * elem_bytes; }
+  int64_t bytes() const {
+    return numel * static_cast<int64_t>(sizeof(float));
+  }
 };
 
 struct Step {
@@ -82,8 +82,7 @@ class Recorder : public plan_hooks::CaptureSink {
     }
     Value out;
     out.kind = Value::kTemp;
-    out.numel = rec.out_numel >= 0 ? rec.out_numel : rec.output.numel();
-    out.elem_bytes = rec.out_elem_bytes;
+    out.numel = rec.output.numel();
     const int out_id = static_cast<int>(values_.size());
     values_.push_back(std::move(out));
     map_[rec.output.data()] = out_id;  // overwrite: recycling-safe
@@ -327,7 +326,6 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
   plan->input_shape_ = example.shape();
   plan->output_shape_ = result.shape();
   plan->backend_ = backend;
-  plan->precision_ = PrecisionMode::Get();
   plan->stats_.captured_steps = static_cast<int64_t>(steps.size());
   plan->stats_.flops_per_run = flops_per_run;
 
@@ -350,11 +348,7 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
         continue;
       }
       Value& out = values[static_cast<size_t>(step.output)];
-      // Byte-capacity buffer: bf16-packed outputs occupy 2 bytes per
-      // logical element inside a float-typed pinned tensor.
-      out.pinned = Tensor::Empty(
-          {(out.bytes() + static_cast<int64_t>(sizeof(float)) - 1) /
-           static_cast<int64_t>(sizeof(float))});
+      out.pinned = Tensor::Empty({out.numel});
       std::vector<Tensor> scratch_bufs;
       std::vector<float*> bufs;
       for (int in : step.inputs) {
@@ -448,9 +442,6 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
 
   auto resolve = [&](int id, std::string* desc) -> float* {
     const Value& v = values[static_cast<size_t>(id)];
-    // Non-f32 operands carry their storage dtype in the listing; the
-    // lifetime checker in plan_test sizes extents from it.
-    const std::string dtype = v.elem_bytes == 2 ? ":bf16" : "";
     if (id == out_id) {
       *desc = "out";
       return plan->output_.data();
@@ -460,14 +451,14 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::Capture(
         *desc = "arg";
         return nullptr;  // patched per Run
       case Value::kConstant:
-        *desc = "const[" + std::to_string(v.numel) + dtype + "]";
+        *desc = "const[" + std::to_string(v.numel) + "]";
         return const_cast<float*>(v.pinned.data());
       case Value::kTemp:
       case Value::kScratch:
-        // "slab+<byte offset>[<numel>(:bf16)]" — tests parse this to
-        // check that operand ranges within a step never overlap.
+        // "slab+<byte offset>[<numel>]" — tests parse this to check
+        // that operand ranges within a step never overlap.
         *desc = "slab+" + std::to_string(v.offset) + "[" +
-                std::to_string(v.numel) + dtype + "]";
+                std::to_string(v.numel) + "]";
         return nullptr;  // bound by BindSlab
     }
     return nullptr;
@@ -544,8 +535,7 @@ void ShareSlab(const std::vector<ExecutionPlan*>& plans) {
 
 bool ExecutionPlan::Matches(const Tensor& input) const {
   return input.defined() && input.shape() == input_shape_ &&
-         &simd::Kernels() == backend_ &&
-         PrecisionMode::Get() == precision_;
+         &simd::Kernels() == backend_;
 }
 
 Tensor ExecutionPlan::Run(const Tensor& input) {

@@ -58,7 +58,6 @@
 
 #include "tensor/allocator.h"
 #include "tensor/plan_hooks.h"
-#include "tensor/precision.h"
 #include "tensor/simd/vec.h"
 #include "tensor/tensor.h"
 
@@ -80,9 +79,8 @@ struct PlanStats {
   int64_t slab_bytes = 0;      // static slab size (64-byte aligned)
   int64_t flops_per_run = 0;   // FLOPs charged per Run()
   // Estimated operand traffic per Run(): sum over compiled steps of
-  // every operand's numel * elem_bytes (reads + the written output).
-  // Bandwidth accounting for the perf gate — bf16 plans show the
-  // bytes-moved reduction here even when latency is noisy.
+  // every operand's numel * sizeof(float) (reads + the written output
+  // + scratch). Bandwidth accounting for the perf gate.
   int64_t bytes_per_run = 0;
 };
 
@@ -100,10 +98,8 @@ class ExecutionPlan {
                                                 const Options& opts = {});
 
   // True when `input` can be fed to Run(): same shape as the capture
-  // example, the SIMD backend is still the one the plan was compiled
-  // against (closures hold resolved kernel pointers), and the calling
-  // thread's PrecisionMode equals the capture-time mode (a bf16 plan
-  // must not serve an f32 request and vice versa).
+  // example and the SIMD backend is still the one the plan was compiled
+  // against (closures hold resolved kernel pointers).
   bool Matches(const Tensor& input) const;
 
   // Replays the program against `input`. Requires Matches(input).
@@ -149,7 +145,6 @@ class ExecutionPlan {
   Shape input_shape_;
   Shape output_shape_;
   const simd::KernelTable* backend_ = nullptr;
-  Precision precision_ = Precision::kF32;  // ambient mode at capture
   std::vector<CompiledStep> steps_;
   // (step, operand) slots to patch with the caller's input pointer.
   std::vector<std::pair<int, int>> input_patches_;

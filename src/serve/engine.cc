@@ -72,7 +72,6 @@ ForecastEngine::ForecastEngine(ForecastModel* model, int64_t num_entities,
       max_batch_(std::max(opts.max_batch, 1)),
       use_plans_(opts.use_plans),
       pad_to_prewarmed_(opts.pad_to_prewarmed),
-      precision_(opts.precision),
       queue_(opts.queue_capacity) {
   FOCUS_CHECK(model_ != nullptr);
   FOCUS_CHECK_GT(num_entities_, 0);
@@ -93,19 +92,13 @@ ForecastEngine::ForecastEngine(ForecastModel* model, int64_t num_entities,
          "batch snaps to a prewarmed size";
 
   workers_.resize(static_cast<size_t>(threads_));
-  {
-    // Prewarm at the engine's serving precision: captured plans embed
-    // the precision-resolved kernel sequence (and pre-packed bf16
-    // weights), and Plan::Matches() pins the mode at replay.
-    PrecisionGuard precision(precision_);
-    for (Worker& worker : workers_) {
-      worker.forecaster = std::make_unique<core::PlannedForecaster>(model_);
-      if (use_plans_) {
-        // Captures are process-global; they all happen here, serially,
-        // before any serving thread exists. Workers never capture.
-        worker.forecaster->PrewarmBatchSizes(
-            {1, num_entities_, lookback_}, ladder_);
-      }
+  for (Worker& worker : workers_) {
+    worker.forecaster = std::make_unique<core::PlannedForecaster>(model_);
+    if (use_plans_) {
+      // Captures are process-global; they all happen here, serially,
+      // before any serving thread exists. Workers never capture.
+      worker.forecaster->PrewarmBatchSizes({1, num_entities_, lookback_},
+                                           ladder_);
     }
   }
   // Capture ran the batch-max eager forward and replaced each worker's
@@ -205,9 +198,6 @@ int64_t ForecastEngine::PaddedRows(int count) const {
 }
 
 void ForecastEngine::WorkerLoop(int worker_index) {
-  // Thread-local mode: covers plan Matches() and the eager fallback,
-  // and lets engines at different precisions serve concurrently.
-  PrecisionGuard precision(precision_);
   Worker& worker = workers_[static_cast<size_t>(worker_index)];
   std::vector<Request> admitted(static_cast<size_t>(max_batch_));
   while (true) {

@@ -61,7 +61,6 @@
 #include "core/planned_forecaster.h"
 #include "obs/metrics_registry.h"
 #include "serve/request_queue.h"
-#include "tensor/precision.h"
 #include "tensor/tensor.h"
 
 namespace focus {
@@ -91,13 +90,6 @@ struct ServeOptions {
   // Construct without serving threads; callers enqueue with Submit and
   // then Start(). Tests use this to pin batch compositions exactly.
   bool start_paused = false;
-  // Inference precision this engine serves at (per-tenant precision =
-  // one engine per tier sharing the frozen model). Defaults to the
-  // constructing thread's ambient PrecisionMode, i.e. FOCUS_PRECISION
-  // unless overridden. Plans are captured at this precision and every
-  // worker thread runs under it; f32 engines are bit-identical to the
-  // historical path.
-  Precision precision = PrecisionMode::Get();
 };
 
 // Caller-owned single-use completion slot for one submitted request.
@@ -174,7 +166,6 @@ class ForecastEngine {
   int threads() const { return threads_; }
   int64_t batch_window_us() const { return batch_window_us_; }
   int max_batch() const { return max_batch_; }
-  Precision precision() const { return precision_; }
   const std::vector<int64_t>& prewarm_ladder() const { return ladder_; }
 
   static constexpr const char* kLatencyMetric = "serve/latency_us";
@@ -202,7 +193,6 @@ class ForecastEngine {
   int max_batch_;
   bool use_plans_;
   bool pad_to_prewarmed_;
-  Precision precision_;
   std::vector<int64_t> ladder_;
 
   RequestQueue queue_;

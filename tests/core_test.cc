@@ -18,7 +18,6 @@
 #include "data/window.h"
 #include "optim/optimizer.h"
 #include "tensor/flops.h"
-#include "tensor/precision.h"
 #include "tensor/simd/vec.h"
 #include "tests/test_util.h"
 
@@ -199,7 +198,6 @@ TEST_P(DenseAssignTest, MatchesBruteForceCompositeDistance) {
       seg[d] = 3.0f * z[static_cast<size_t>(d)] + 0.5f;
     }
   }
-  PrecisionGuard f32(Precision::kF32);
   const std::vector<int64_t> dense = attn->AssignTokens(tokens);
   ASSERT_EQ(static_cast<int64_t>(dense.size()), rows);
 
@@ -253,14 +251,10 @@ TEST(DenseAssignTest, DuplicatedPrototypesResolveToLowerIndex) {
   InferenceModeGuard inference;
   for (float alpha : {0.0f, 0.3f}) {
     auto attn = MakeAssigner(protos, alpha);
-    for (Precision mode : {Precision::kF32, Precision::kInt8Proto}) {
-      PrecisionGuard guard(mode);
-      const std::vector<int64_t> assign = attn->AssignTokens(tokens);
-      for (int64_t i = 0; i < 2 * k; ++i) {
-        EXPECT_EQ(assign[static_cast<size_t>(i)], expected[i % k])
-            << "token " << i << " alpha " << alpha << " mode "
-            << PrecisionName(mode);
-      }
+    const std::vector<int64_t> assign = attn->AssignTokens(tokens);
+    for (int64_t i = 0; i < 2 * k; ++i) {
+      EXPECT_EQ(assign[static_cast<size_t>(i)], expected[i % k])
+          << "token " << i << " alpha " << alpha;
     }
   }
 }
@@ -274,7 +268,6 @@ TEST(DenseAssignTest, BackendInvariant) {
     auto attn = MakeAssigner(protos, 0.3f);
     Rng rng(67);
     Tensor tokens = Tensor::Randn({3, 37, 21}, rng);
-    PrecisionGuard f32(Precision::kF32);
     ASSERT_TRUE(simd::SetBackend(simd::Backend::kScalar));
     const std::vector<int64_t> scalar_assign = attn->AssignTokens(tokens);
     ASSERT_TRUE(simd::SetBackend(simd::Backend::kAvx2));

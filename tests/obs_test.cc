@@ -29,15 +29,6 @@ obs::SpanStats StatsFor(
   return {};
 }
 
-int64_t BreakdownFor(
-    const std::vector<std::pair<std::string, int64_t>>& breakdown,
-    const std::string& name) {
-  for (const auto& [n, flops] : breakdown) {
-    if (n == name) return flops;
-  }
-  return 0;
-}
-
 // Minimal structural JSON check: every brace/bracket outside of strings
 // balances, and the document is a single object. Enough to catch broken
 // escaping or truncated output without a full parser.
@@ -123,11 +114,6 @@ TEST_F(ObsTest, NestedSpansAttributeToInnermostScope) {
   EXPECT_GE(inner.peak_bytes, tensor_bytes);
   EXPECT_GE(outer.peak_bytes, tensor_bytes);
   EXPECT_GE(inner.allocs, 1);
-
-  // The legacy region breakdown sees the same attribution (innermost wins).
-  const auto breakdown = FlopCounter::Breakdown();
-  EXPECT_EQ(BreakdownFor(breakdown, "test/inner"), 500);
-  EXPECT_EQ(BreakdownFor(breakdown, "test/outer"), 1200);
 }
 
 TEST_F(ObsTest, SpanPeakWindowDoesNotLowerOuterPeak) {
@@ -214,7 +200,7 @@ TEST_F(ObsTest, JsonlExportRoundTrip) {
   EXPECT_TRUE(saw_span);
 }
 
-TEST_F(ObsTest, DisabledTracingRecordsNothingButRegionsStillWork) {
+TEST_F(ObsTest, DisabledTracingRecordsNothing) {
   auto& tracer = obs::Tracer::Get();
   ASSERT_FALSE(tracer.enabled());
   {
@@ -222,30 +208,6 @@ TEST_F(ObsTest, DisabledTracingRecordsNothingButRegionsStillWork) {
     FlopCounter::Add(123);
   }
   EXPECT_TRUE(tracer.Snapshot().empty());
-  // The FlopCounter region tag works even with tracing off, so legacy
-  // Breakdown() consumers lose nothing.
-  EXPECT_EQ(BreakdownFor(FlopCounter::Breakdown(), "test/disabled"), 123);
-}
-
-TEST_F(ObsTest, BreakdownPreservesFirstUseOrder) {
-  // Regression: Breakdown() reports regions in first-use order, not sorted.
-  {
-    obs::TraceSpan a("zeta");
-    FlopCounter::Add(1);
-  }
-  {
-    FlopRegion b("alpha");
-    FlopCounter::Add(2);
-  }
-  {
-    obs::TraceSpan c("mid");
-    FlopCounter::Add(3);
-  }
-  const auto breakdown = FlopCounter::Breakdown();
-  std::vector<std::string> names;
-  for (const auto& [name, flops] : breakdown) names.push_back(name);
-  const std::vector<std::string> expected = {"zeta", "alpha", "mid"};
-  EXPECT_EQ(names, expected);
 }
 
 TEST_F(ObsTest, SpansAndExportsCarryAllocatorCounters) {
